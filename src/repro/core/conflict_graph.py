@@ -9,12 +9,13 @@ define the secondary extreme points of Eq. (4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.cliques import adjacency_from_edges, maximal_independent_sets
 from repro.core.interference import Link, PairwiseInterferenceMap
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -57,7 +58,13 @@ class ConflictGraph:
         return maximal_independent_sets(self.adjacency)
 
     def to_networkx(self) -> nx.Graph:
-        """Export to a :class:`networkx.Graph` (for cross-checks and plots)."""
+        """Export to a :class:`networkx.Graph` (for cross-checks and plots).
+
+        networkx is imported here, not at module level: nothing else in
+        the package uses it, and it is a test-only dependency.
+        """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.links)
         for link, neighbours in self.adjacency.items():

@@ -13,7 +13,9 @@ overhead — and sends the shared-secret ``Authorization`` header when
 :class:`BrokerBackend` is the network-transparent sibling of
 :class:`~repro.experiment.backends.work_queue.WorkQueueBackend`: same
 task/claim/result envelopes, same leases and retry budgets (the broker
-enforces them server-side), same auto-scaled local drainers — but the
+enforces them server-side), same auto-scaled local drainers (forked
+from the submitter; external workers run the
+``python -m repro.experiment.worker --broker <url>`` CLI) — but the
 only thing submitter and workers share is a URL (and, beyond a trusted
 network, a token).
 """
@@ -24,7 +26,6 @@ import http.client
 import json
 import os
 import socket
-import sys
 import threading
 import time
 import urllib.parse
@@ -215,8 +216,9 @@ class BrokerBackend(ExecutionBackend):
             duration of each :meth:`run` (local fan-out with zero
             deployment — and what ``REPRO_BATCH_BACKEND=broker`` gives
             CI).
-        workers: cap on concurrently live local drainer processes
-            (``python -m repro.experiment.worker --broker <url>``).
+        workers: cap on concurrently live local drainers, each forked
+            from this process to run the worker's ``--broker <url>``
+            loop.
             ``0`` spawns none and relies on an external fleet already
             polling the broker — which then requires an explicit or
             environment-provided ``url``, since a private broker nobody
@@ -294,12 +296,8 @@ class BrokerBackend(ExecutionBackend):
     # ------------------------------------------------------------- internals
     def _worker_command(self, url: str, match: str) -> list[str]:
         # No --token flag: the secret rides in REPRO_BROKER_TOKEN, which
-        # worker_subprocess_env() copies into every spawned drainer —
-        # and never into an argv visible to `ps`.
-        command = [
-            sys.executable,
-            "-m",
-            "repro.experiment.worker",
+        # every forked drainer inherits with the submitter's environment.
+        argv = [
             "--broker",
             url,
             "--exit-when-empty",
@@ -309,8 +307,8 @@ class BrokerBackend(ExecutionBackend):
             match,
         ]
         if self.cache_dir is not None:
-            command += ["--cache-dir", str(self.cache_dir)]
-        return command
+            argv += ["--cache-dir", str(self.cache_dir)]
+        return argv
 
     def run(self, payloads: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         self.last_run_stats = None  # never leak a previous run's account
@@ -360,7 +358,7 @@ class BrokerBackend(ExecutionBackend):
             raise BackendError(f"could not submit to the broker: {exc}") from exc
         with TemporaryDirectory(prefix="repro-broker-logs-") as log_dir:
             pool = DrainerPool(
-                command=self._worker_command(url, f"{job}-"),
+                argv=self._worker_command(url, f"{job}-"),
                 log_dir=Path(log_dir),
                 log_prefix=f"worker-{job}",
                 cap=self.workers_for(len(payloads)) if self.workers != 0 else 0,

@@ -3,7 +3,7 @@
 The file-based :class:`~repro.experiment.backends.work_queue.WorkQueueBackend`
 and the HTTP :class:`~repro.experiment.backends.broker_client.BrokerBackend`
 speak the same task/claim/result envelope protocol and manage local
-drainer subprocesses the same way; this module holds the shared parts:
+drainers the same way; this module holds the shared parts:
 
 * the **lease/retry knobs** (``REPRO_QUEUE_LEASE_S``,
   ``REPRO_QUEUE_MAX_ATTEMPTS``) and the task envelope constructor that
@@ -21,16 +21,29 @@ drainer subprocesses the same way; this module holds the shared parts:
   drainer writes its own log file, so a failure embeds the tail of the
   log of the worker that actually failed instead of an interleaved
   mess.
+
+Local drainers are **forked** from the submitter, which has already
+imported the simulator and the solver: a drainer runs
+:func:`repro.experiment.worker.main` in-process with the argv an
+external worker would get on its command line, instead of paying about
+a second of interpreter start-up and ``import repro`` per drainer.
+External fleets run the same code through the unchanged
+``python -m repro.experiment.worker`` CLI.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
-import subprocess
+import signal
+import sys
+import time
+import traceback
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 __all__ = [
     "BROKER_TOKEN_ENV_VAR",
@@ -67,8 +80,8 @@ BROKER_URL_ENV_VAR = "REPRO_BROKER_URL"
 
 #: Shared broker secret.  Set on the broker it *requires* the token; set
 #: on clients (submitter, workers) they *send* it.  Export the same
-#: value everywhere — :func:`worker_subprocess_env` copies the
-#: submitter's environment, so locally spawned drainers inherit it.
+#: value everywhere — locally forked drainers inherit the submitter's
+#: environment, and so they inherit it.
 BROKER_TOKEN_ENV_VAR = "REPRO_BROKER_TOKEN"
 
 
@@ -177,8 +190,8 @@ def exhausted_error(task_id: str, attempts: int, max_attempts: int) -> str:
 class QueueStats:
     """What the self-healing layer did during one submission."""
 
-    #: Local drainer subprocesses spawned over the whole run (top-ups
-    #: after worker deaths included — this can exceed the worker cap).
+    #: Local drainers forked over the whole run (top-ups after worker
+    #: deaths included — this can exceed the worker cap).
     spawned: int = 0
     #: Expired claims put back on the queue (worker deaths survived).
     requeued: int = 0
@@ -198,11 +211,13 @@ class QueueStats:
 
 
 def worker_subprocess_env() -> dict[str, str]:
-    """Environment for spawned drainers.
+    """Environment for a ``python -m repro.experiment.worker`` process
+    started by hand (tests, scripts) next to this checkout.
 
-    Workers must be able to import repro even when the submitter runs
-    from a source checkout that was put on ``sys.path`` by hand (tests,
-    conftest) rather than installed.
+    Such a worker must be able to import repro even when the submitter
+    runs from a source checkout that was put on ``sys.path`` by hand
+    rather than installed.  :class:`DrainerPool`'s forked drainers need
+    none of this: they inherit the submitter's modules and environment.
     """
     env = dict(os.environ)
     package_root = str(Path(__file__).resolve().parents[3])
@@ -214,13 +229,116 @@ def worker_subprocess_env() -> dict[str, str]:
     return env
 
 
+def _exit_code(exc: SystemExit) -> int:
+    """The process exit status the interpreter would give ``exc``."""
+    if exc.code is None:
+        return 0
+    if isinstance(exc.code, int):
+        return exc.code
+    print(exc.code, file=sys.stderr)
+    return 1
+
+
+def _run_forked_drainer(
+    main: Callable[[list[str]], int], argv: list[str], log_fd: int
+) -> NoReturn:
+    """Body of a forked drainer; never returns to the submitter's code.
+
+    The child leaves through ``os._exit`` on every path, so the
+    submitter's ``atexit`` hooks, ``TemporaryDirectory`` finalizers and
+    buffered stdio never run a second time in the child.
+    """
+    code = 1
+    try:
+        # A profiler running in the submitter (the benchmark's trace
+        # mode) would only slow the drainer: its records die with it.
+        sys.setprofile(None)
+        # Keep the collector off the submitter's objects: a full
+        # collection in the child would walk the whole inherited heap
+        # and copy every page it touches.  On the sweep-broker benchmark
+        # (2-vCPU x86-64 VM, Python 3.11) this alone took work_per_s
+        # from 38 to 55 cells/s.
+        gc.freeze()
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        os.close(log_fd)
+        # Fresh objects: the inherited ones may hold the parent's buffer.
+        sys.stdout = open(1, "a", buffering=1, encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "a", buffering=1, encoding="utf-8", closefd=False)
+        try:
+            code = int(main(argv) or 0)
+        except SystemExit as exc:
+            code = _exit_code(exc)
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+class ForkedDrainer:
+    """Handle on one forked drainer: the slice of ``subprocess.Popen``
+    the pool needs, reaped with ``os.waitpid``.
+
+    ``returncode`` follows ``Popen``: the exit status, or ``-N`` for a
+    drainer killed by signal ``N``.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+
+    def _reap(self, flags: int) -> int | None:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, flags)
+            except ChildProcessError:
+                # Reaped by someone else (or SIGCHLD ignored): the child
+                # is gone and its status with it — Popen's answer is 0.
+                self.returncode = 0
+            else:
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def poll(self) -> int | None:
+        """Exit status if the drainer has exited (reaping it), else None."""
+        return self._reap(os.WNOHANG)
+
+    def wait(self, timeout_s: float | None = None) -> int | None:
+        """Reap the drainer; ``None`` if it still runs after ``timeout_s``."""
+        if timeout_s is None:
+            return self._reap(0)
+        deadline = time.monotonic() + timeout_s
+        while self.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.returncode
+
+    def _signal(self, signum: int) -> None:
+        if self.returncode is None:
+            try:
+                os.kill(self.pid, signum)
+            except ProcessLookupError:
+                pass  # exited; the next poll reaps it
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+
 @dataclass
 class DrainerPool:
-    """Submitter-side drainer subprocesses, topped up from queue depth.
+    """Submitter-side drainers, forked on demand and topped up from
+    queue depth.
 
     Args:
-        command: the drainer argv (``python -m repro.experiment.worker
-            ...``); every spawn runs the same command.
+        argv: the drainer's worker arguments, exactly as the
+            ``python -m repro.experiment.worker`` CLI takes them; every
+            drainer runs :func:`repro.experiment.worker.main` on them.
         log_dir: where per-drainer logs go.
         log_prefix: log files are ``{log_prefix}-{n:02d}.log`` — one per
             drainer, so a traceback is never interleaved with another
@@ -229,27 +347,39 @@ class DrainerPool:
             pool never spawns).
     """
 
-    command: Sequence[str]
+    argv: Sequence[str]
     log_dir: Path
     log_prefix: str
     cap: int
     stats: QueueStats = field(default_factory=QueueStats)
-    _drainers: list[tuple[subprocess.Popen, Path]] = field(default_factory=list)
-    _env: dict[str, str] = field(default_factory=worker_subprocess_env)
+    _drainers: list[tuple[ForkedDrainer, Path]] = field(default_factory=list)
 
     def _spawn(self) -> None:
+        from repro.experiment.worker import main  # the worker imports this package
+
         log_path = self.log_dir / f"{self.log_prefix}-{self.stats.spawned:02d}.log"
-        log = open(log_path, "ab")
+        log_fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            proc = subprocess.Popen(
-                list(self.command),
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                env=self._env,
-            )
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()  # or the child would inherit the buffer
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that forking a multi-threaded
+                # process may deadlock the child on a lock another
+                # thread held.  The submitter's other threads are the
+                # private broker's server and request handlers; the
+                # child never touches the broker's locks or sockets.
+                # It runs the worker on fresh stdio objects and fresh
+                # connections, and leaves through os._exit.
+                warnings.filterwarnings(
+                    "ignore", message=r".*fork\(\)", category=DeprecationWarning
+                )
+                pid = os.fork()
+            if pid == 0:
+                _run_forked_drainer(main, list(self.argv), log_fd)
         finally:
-            log.close()
-        self._drainers.append((proc, log_path))
+            os.close(log_fd)
+        self._drainers.append((ForkedDrainer(pid), log_path))
         self.stats.spawned += 1
 
     def top_up(self, depth: int) -> None:
@@ -266,18 +396,18 @@ class DrainerPool:
             self._spawn()
 
     def alive_count(self) -> int:
-        return sum(1 for proc, _ in self._drainers if proc.poll() is None)
+        return sum(1 for drainer, _ in self._drainers if drainer.poll() is None)
 
     def any_alive(self) -> bool:
-        return any(proc.poll() is None for proc, _ in self._drainers)
+        return any(drainer.poll() is None for drainer, _ in self._drainers)
 
-    def failed_exits(self) -> list[tuple[subprocess.Popen, Path]]:
+    def failed_exits(self) -> list[tuple[ForkedDrainer, Path]]:
         """Drainers that exited with a nonzero status (crash or kill),
         oldest first."""
         return [
-            (proc, log_path)
-            for proc, log_path in self._drainers
-            if proc.poll() not in (None, 0)
+            (drainer, log_path)
+            for drainer, log_path in self._drainers
+            if drainer.poll() not in (None, 0)
         ]
 
     def failing_log_tail(self, limit: int = 2000) -> str:
@@ -287,27 +417,27 @@ class DrainerPool:
         *failing* worker's own."""
         failed = self.failed_exits()
         candidates = failed if failed else self._drainers
-        for proc, log_path in reversed(candidates):
+        for drainer, log_path in reversed(candidates):
             try:
                 text = log_path.read_text(encoding="utf-8")
             except OSError:
                 continue
             if text.strip():
                 return (
-                    f"[drainer exit status {proc.poll()}, log {log_path.name}]\n"
+                    f"[drainer exit status {drainer.poll()}, log {log_path.name}]\n"
                     + text[-limit:]
                 )
         return ""
 
     def terminate(self) -> None:
-        for proc, _ in self._drainers:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc, _ in self._drainers:
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
+        """Stop every drainer and reap it: SIGTERM, a grace period, then
+        SIGKILL for any that ignored it — never a zombie left behind."""
+        for drainer, _ in self._drainers:
+            drainer.terminate()
+        for drainer, _ in self._drainers:
+            if drainer.wait(10.0) is None:  # pragma: no cover
+                drainer.kill()
+                drainer.wait()
 
     def remove_logs(self) -> None:
         for _, log_path in self._drainers:

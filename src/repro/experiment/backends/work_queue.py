@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 import time
 import uuid
@@ -213,10 +212,11 @@ class WorkQueueBackend(ExecutionBackend):
             temporary queue per :meth:`run` — convenient for local use,
             pointless for remote workers, which need a directory they
             can see too.
-        workers: cap on concurrently live local drainer processes
-            (``python -m repro.experiment.worker``).  ``0`` spawns none
-            and relies entirely on external workers already watching the
-            directory.
+        workers: cap on concurrently live local drainers, each forked
+            from this process to run the worker's loop on the queue.
+            ``0`` spawns none and relies entirely on external workers
+            (``python -m repro.experiment.worker <queue_dir>``) already
+            watching the directory.
         cache_dir: optional shared :class:`ResultCache` directory the
             spawned workers write results back to (content-addressed,
             so concurrent writers are safe) — lets a warm shared store
@@ -282,10 +282,7 @@ class WorkQueueBackend(ExecutionBackend):
 
     # ------------------------------------------------------------- internals
     def _worker_command(self, queue_dir: Path, match: str) -> list[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.experiment.worker",
+        argv = [
             str(queue_dir),
             "--exit-when-empty",
             "--poll-interval-s",
@@ -297,8 +294,8 @@ class WorkQueueBackend(ExecutionBackend):
             match,
         ]
         if self.cache_dir is not None:
-            command += ["--cache-dir", str(self.cache_dir)]
-        return command
+            argv += ["--cache-dir", str(self.cache_dir)]
+        return argv
 
     def run(self, payloads: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
         self.last_run_stats = None  # never leak a previous run's account
@@ -356,7 +353,7 @@ class WorkQueueBackend(ExecutionBackend):
                 ),
             )
         pool = DrainerPool(
-            command=self._worker_command(root, f"{job}-"),
+            argv=self._worker_command(root, f"{job}-"),
             log_dir=root,
             log_prefix=f"worker-{job}",
             cap=self.workers_for(len(payloads)) if self.workers != 0 else 0,
@@ -480,26 +477,26 @@ class WorkQueueBackend(ExecutionBackend):
             # on a network filesystem.
             if pool.cap > 0 and pool.alive_count() < pool.cap:
                 pool.top_up(self._unclaimed_depth(root, match))
+                if pool.stats.spawned - spawned_at_progress > max(6, 3 * pool.cap):
+                    # Drainers keep exiting without a single result or
+                    # lease recovery in between — a broken environment
+                    # (a crash before the first claim, an unwritable
+                    # queue), not a worker death the lease machinery
+                    # would heal.  Checked right after the top-up: the
+                    # drainer just spawned is alive on the next line, so
+                    # while tasks wait unclaimed a check below it would
+                    # never run.
+                    raise BackendError(
+                        f"local queue workers keep exiting without progress "
+                        f"({pool.stats.spawned} spawned, {len(pending)} task(s) "
+                        f"unfinished) in {root}\n{pool.failing_log_tail()}"
+                    )
             if pool.any_alive():
                 # A live local drainer is computing (simulations always
                 # terminate) — a big cell legitimately takes as long as
                 # it takes, so the stall timeout does not apply here.
                 time.sleep(self.poll_interval_s)
                 continue
-            if (
-                pool.cap > 0
-                and pool.stats.spawned - spawned_at_progress > max(6, 3 * pool.cap)
-            ):
-                # Drainers keep exiting without a single result or lease
-                # recovery in between — a broken environment (import
-                # error, unwritable queue), not a worker death the lease
-                # machinery would heal.  Fail fast with the failing
-                # worker's own log instead of looping until the timeout.
-                raise BackendError(
-                    f"local queue workers keep exiting without progress "
-                    f"({pool.stats.spawned} spawned, {len(pending)} task(s) "
-                    f"unfinished) in {root}\n{pool.failing_log_tail()}"
-                )
             if pool.stats.spawned and not drainers_dead_rescan:
                 # A drainer may write its last result and exit between
                 # scan and liveness check — rescan once before judging,

@@ -15,6 +15,12 @@ reports ``{"id": ..., "result": <result dict>}`` (or ``{"id": ...,
   a :mod:`repro.experiment.broker` over HTTP — no shared filesystem at
   all.
 
+The CLI is how external fleets join a sweep.  A submitter's own local
+drainers run the same :func:`main` on the same arguments, but in a
+child forked from the submitter
+(:class:`~repro.experiment.backends.queue_common.DrainerPool`), so they
+skip interpreter start-up and ``import repro``.
+
 Claims are **leases**: while a task computes, a background thread
 heartbeats it (touching the claimed file's mtime, or POSTing
 ``/heartbeat``) every quarter lease, so only a *dead* worker ever goes

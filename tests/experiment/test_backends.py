@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 from typing import Any, Mapping, Sequence
 
@@ -28,6 +31,7 @@ from repro.experiment import (
     seed_sweep,
 )
 from repro.experiment.backends import BACKEND_ENV_VAR, TASKS_DIR, ensure_queue_dirs
+from repro.experiment.backends.queue_common import DrainerPool, worker_subprocess_env
 from repro.experiment.worker import claim_next_task, drain_queue
 
 from _helpers import FAST_SPEC, canonical, strip_runtime as _strip_runtime
@@ -308,13 +312,218 @@ class TestBatchRunnerIntegration:
         assert not isinstance(object(), ExecutionBackend)
 
     def test_worker_subprocess_env_and_cli(self, tmp_path):
-        """End-to-end: backend spawns real `python -m repro.experiment.worker`
-        subprocesses that must import repro from this checkout."""
-        backend = WorkQueueBackend(tmp_path / "queue", workers=1)
+        """End-to-end: an external `python -m repro.experiment.worker`
+        drains the queue from this checkout, and the backend's own
+        (forked) drainers leave the directory reusable."""
         payload = FAST_SPEC.to_dict()
+        expected = _strip_runtime(run_spec_payload(payload))
+        root = ensure_queue_dirs(tmp_path / "external")
+        (root / TASKS_DIR / "t-00000.json").write_text(
+            json.dumps({"id": "t-00000", "spec": payload}), encoding="utf-8"
+        )
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro.experiment.worker", str(root), "--exit-when-empty"],
+            env=worker_subprocess_env(),
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert cli.returncode == 0, cli.stdout + cli.stderr
+        assert "drained 1 task(s)" in cli.stdout
+        envelope = json.loads((root / "results" / "t-00000.json").read_text("utf-8"))
+        assert _strip_runtime(envelope["result"]) == expected
+
+        backend = WorkQueueBackend(tmp_path / "queue", workers=1)
         results = backend.run([payload])
-        assert _strip_runtime(results[0]) == _strip_runtime(run_spec_payload(payload))
+        assert _strip_runtime(results[0]) == expected
         # The queue directory is left reusable: no stale tasks or results.
         assert not any((tmp_path / "queue" / TASKS_DIR).iterdir())
         assert not any((tmp_path / "queue" / "results").iterdir())
         assert os.path.isdir(tmp_path / "queue" / "claimed")
+
+
+#: Runs in a fresh interpreter (argv: backend name, scratch dir, payload
+#: JSON), whose only children are the drainers it forks: it checks the
+#: fork hygiene a parent can observe and prints one JSON report line.
+LIFECYCLE_SCRIPT = r"""
+import atexit, json, os, sys, time
+from pathlib import Path
+from repro.experiment import BackendError, BrokerBackend, WorkQueueBackend
+from repro.experiment.backends import ensure_queue_dirs
+from repro.experiment.backends.queue_common import DrainerPool
+
+name, tmp, payload = sys.argv[1], Path(sys.argv[2]), json.loads(sys.argv[3])
+atexit.register(lambda: (tmp / "atexit.log").open("a").write(f"{os.getpid()}\n"))
+# stdout is a pipe, so this line sits in the buffer when the first fork comes.
+sys.stdout.write("parent-buffered-text\n")
+
+
+def childless():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+report = {"pid": os.getpid()}
+pool = DrainerPool(
+    argv=[str(ensure_queue_dirs(tmp / "empty")), "--exit-when-empty"],
+    log_dir=tmp, log_prefix="hygiene", cap=1,
+)
+pool.top_up(1)
+while pool.any_alive():
+    time.sleep(0.01)
+report["hygiene_spawned"] = pool.stats.spawned
+report["hygiene_failed"] = len(pool.failed_exits())
+report["hygiene_log"] = (tmp / "hygiene-00.log").read_text("utf-8")
+
+make = {
+    "work_queue": lambda: WorkQueueBackend(tmp / "queue", workers=2),
+    "broker": lambda: BrokerBackend(workers=2),
+}[name]
+report["results"] = make().run([payload, payload])
+report["childless_after_success"] = childless()
+try:
+    make().run([{"cycles": -1}, payload])
+except BackendError as exc:
+    report["error"] = str(exc)
+report["childless_after_error"] = childless()
+print(json.dumps(report))
+"""
+
+
+class TestForkedDrainers:
+    """Local drainers are forked from the submitter: they must behave
+    like the fresh interpreters they replace, and never outlive run()."""
+
+    @pytest.mark.parametrize("backend_name", ["work_queue", "broker"])
+    def test_lifecycle_and_fork_hygiene(self, backend_name, tmp_path):
+        payload = FAST_SPEC.to_dict()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIFECYCLE_SCRIPT, backend_name, str(tmp_path),
+             json.dumps(payload)],
+            env=worker_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        # The drainer ran on its own stdio: its log holds its own output
+        # and none of the parent's buffered text, which the parent
+        # emitted exactly once.
+        assert (report["hygiene_spawned"], report["hygiene_failed"]) == (1, 0)
+        assert "drained 0 task(s)" in report["hygiene_log"]
+        assert "parent-buffered-text" not in report["hygiene_log"]
+        assert proc.stdout.count("parent-buffered-text") == 1
+        # Only the parent ran its atexit hook; every drainer left via os._exit.
+        hooks = (tmp_path / "atexit.log").read_text("utf-8").split()
+        assert hooks == [str(report["pid"])]
+        expected = _strip_runtime(run_spec_payload(payload))
+        assert [_strip_runtime(r) for r in report["results"]] == [expected, expected]
+        assert "SpecError" in report["error"]
+        # Every drainer was reaped, after success and after a failure.
+        assert report["childless_after_success"] is True
+        assert report["childless_after_error"] is True
+
+    @pytest.mark.parametrize("backend_name", ["work_queue", "broker"])
+    def test_raising_drainer_log_reaches_the_backend_error(
+        self, backend_name, tmp_path, monkeypatch
+    ):
+        import repro.experiment.worker as worker
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("drainer exploded on purpose")
+
+        # Forked drainers inherit the parent's modules, patch included.
+        monkeypatch.setattr(worker, "drain", explode)
+        if backend_name == "work_queue":
+            backend = WorkQueueBackend(tmp_path / "queue", workers=1, timeout_s=60.0)
+        else:
+            backend = BrokerBackend(workers=1, timeout_s=60.0)
+        with pytest.raises(BackendError, match="keep exiting") as excinfo:
+            backend.run([FAST_SPEC.to_dict()])
+        message = str(excinfo.value)
+        assert "[drainer exit status 1, log worker-" in message
+        assert "Traceback (most recent call last)" in message
+        assert "RuntimeError: drainer exploded on purpose" in message
+
+    @pytest.mark.parametrize(
+        "env_var", ["REPRO_WORKER_KILL_FILE", "REPRO_WORKER_KILL_MATCH"]
+    )
+    def test_chaos_hooks_reach_forked_drainers(self, env_var, tmp_path, monkeypatch):
+        root = ensure_queue_dirs(tmp_path / "queue")
+        (root / TASKS_DIR / "t-00000.json").write_text(
+            json.dumps({"id": "t-00000", "spec": FAST_SPEC.to_dict()}),
+            encoding="utf-8",
+        )
+        flag = tmp_path / "kill-flag"
+        flag.touch()
+        monkeypatch.setenv(env_var, str(flag) if env_var.endswith("FILE") else "t-000")
+        pool = DrainerPool(
+            argv=[str(root), "--exit-when-empty"],
+            log_dir=tmp_path,
+            log_prefix="chaos",
+            cap=1,
+        )
+        pool.top_up(1)
+        deadline = time.monotonic() + 60.0
+        while pool.any_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pool.terminate()
+        [(drainer, _)] = pool.failed_exits()
+        assert drainer.returncode == -signal.SIGKILL
+        assert flag.exists() == env_var.endswith("MATCH")  # KILL_FILE consumes it
+        assert (root / "claimed" / "t-00000.json").exists()  # died holding the claim
+
+
+#: Runs in a fresh interpreter (argv: sweeps, payload JSON): back-to-back
+#: broker sweeps, each forking drainers while the private broker's
+#: server threads are alive; prints one JSON report line.
+HANG_GUARD_SCRIPT = r"""
+import json, sys, warnings
+from repro.experiment import BatchRunner, BrokerBackend, ExperimentSpec, SerialBackend, seed_sweep
+
+sweeps, spec = int(sys.argv[1]), ExperimentSpec.from_dict(json.loads(sys.argv[2]))
+cells = seed_sweep(spec, range(4))
+canonical = lambda batch: json.dumps(batch.to_dicts(include_runtime=False), sort_keys=True)
+reference = canonical(BatchRunner(cells, backend=SerialBackend(), cache=False).run())
+filters = list(warnings.filters)
+identical = 0
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    for _ in range(sweeps):
+        batch = BatchRunner(cells, backend=BrokerBackend(workers=2), cache=False).run()
+        identical += canonical(batch) == reference
+print(json.dumps({
+    "identical": identical,
+    "fork_warnings": [str(w.message) for w in caught if "fork" in str(w.message)],
+    "filters_unchanged": list(warnings.filters) == filters,
+}))
+"""
+
+
+class TestForkHangGuard:
+    @pytest.mark.slow
+    def test_back_to_back_broker_sweeps_never_hang(self):
+        """Forking while the private broker's threads serve requests must
+        neither deadlock a drainer nor change a byte; the hard timeout
+        turns a hang into a failure instead of a stuck suite."""
+        sweeps = 20
+        proc = subprocess.run(
+            [sys.executable, "-c", HANG_GUARD_SCRIPT, str(sweeps),
+             json.dumps(FAST_SPEC.to_dict())],
+            env=worker_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["identical"] == sweeps
+        # The multi-threaded-fork warning (Python 3.12+) is silenced
+        # around the fork call only, never through a global filter.
+        assert report["fork_warnings"] == []
+        assert report["filters_unchanged"] is True
